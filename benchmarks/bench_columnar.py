@@ -107,8 +107,10 @@ def test_materialize_vs_reparse_note():
                         round(reparse / materialize, 2))
 
 
+#: Prints the child's own resident high-water mark (``VmHWM``).
+#: ``ru_maxrss`` would not do: Linux carries it across fork+exec, so
+#: both children would report the parent pytest process's peak.
 _RSS_SCRIPT = """
-import resource, sys
 from repro import Database
 from repro.workload import OrderProfile, populate_paper_schema
 
@@ -120,7 +122,9 @@ populate_paper_schema(
 result = database.xquery(
     "count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 190])")
 assert len(result) == 1
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")))
 """
 
 

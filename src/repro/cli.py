@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--json", action="store_true",
                              help="emit findings as a JSON array")
         if name == "query":
-            sub.add_argument("--workers", type=int, default=1,
-                             metavar="N",
-                             help="fan the query across N document-"
-                                  "partition workers (falls back to "
-                                  "serial when not partitionable)")
             sub.add_argument("--processes", type=int, default=1,
                              metavar="N",
                              help="fan the query across N worker "
@@ -556,10 +551,6 @@ def _run_statement_command(arguments, database, out) -> int:
                                          use_indexes=use_indexes,
                                          tracer=tracer,
                                          indent=arguments.indent)
-            elif getattr(arguments, "workers", 1) > 1:
-                result = database.xquery_parallel(
-                    arguments.statement, max_workers=arguments.workers,
-                    use_indexes=use_indexes, tracer=tracer)
             else:
                 result = database.xquery(arguments.statement,
                                          use_indexes=use_indexes,

@@ -1,7 +1,7 @@
 """``DurableDatabase``: the in-memory engine plus WAL + checkpoints.
 
 Same public API as :class:`repro.storage.catalog.Database` — queries,
-snapshots and ``xquery_parallel`` are inherited untouched and keep
+snapshots and the process pool are inherited untouched and keep
 their shared-read-lock / copy-on-write semantics.  Only the eight
 writer entry points are overridden, each with the same shape::
 

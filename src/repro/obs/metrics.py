@@ -35,12 +35,9 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``rwlock.write_acquires``         database write-lock acquisitions
 ``rwlock.read_wait_seconds``      contended reader waits (histogram)
 ``rwlock.write_wait_seconds``     contended writer waits (histogram)
-``parallel.fanouts``              partition-parallel executions
-``parallel.partitions``           worker partitions across all fanouts
 ``parallel.serial_fallbacks``     parallel entry points that ran serially
 ``parallel.fallback_reason.<r>``  fallbacks broken down by reason (see
                                   ``repro.planner.parallel.FALLBACK_REASONS``)
-``parallel.seconds`` (histogram)  partition-parallel wall time
 ``process.fanouts``               process-pool partition executions
 ``process.partitions``            replica partitions across all fanouts
 ``process.seconds`` (histogram)   process-pool fan-out wall time

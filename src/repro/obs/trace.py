@@ -88,24 +88,6 @@ class Tracer:
         """
         return _SpanContext(self, name, attrs)
 
-    def attach(self, other: "Tracer", **attrs) -> None:
-        """Graft another tracer's root spans under the current span.
-
-        A Tracer is not thread-safe (one mutable ``_stack``), so the
-        partition-parallel executor gives each worker its own Tracer
-        and the orchestrator attaches the finished trees afterwards,
-        stamping every grafted root with ``attrs`` (e.g. ``worker=2``)
-        for per-worker span attribution.  Worker spans keep their own
-        wall-clock ``start`` values, which share this tracer's clock
-        origin because both tracers use ``time.perf_counter``.
-        """
-        for root in other.roots:
-            root.attrs.update(attrs)
-            if self._stack:
-                self._stack[-1].children.append(root)
-            else:
-                self.roots.append(root)
-
     def attach_remote(self, spans: list[dict], **attrs) -> None:
         """Graft span *dicts* shipped from another process.
 
@@ -116,7 +98,7 @@ class Tracer:
         offsets, rebased onto this tracer's origin — within one remote
         tree the relative timings are exact; across processes only
         durations are meaningful.  Every grafted root is stamped with
-        ``attrs`` (e.g. ``worker=2``), mirroring :meth:`attach`.
+        ``attrs`` (e.g. ``worker=2``) for per-worker span attribution.
         """
         for payload in spans:
             span = _span_from_dict(payload, self._origin)

@@ -1,8 +1,8 @@
 """Process-parallel execution: read replicas fed by log shipping.
 
-CPython's GIL caps the thread-based partition executor
-(:mod:`repro.planner.parallel`) at roughly one core of XQuery
-evaluation; this package escapes it with real processes.  The primary
+CPython's GIL caps threads at roughly one core of XQuery evaluation;
+this package escapes it with real processes, partitioning queries
+past the soundness gate of :mod:`repro.planner.parallel`.  The primary
 serializes a checkpoint of its current state (the same encoding
 :mod:`repro.durability.checkpoint` writes to disk), ships it over a
 pipe to N worker processes, and each worker runs recovery into a

@@ -34,9 +34,9 @@ any query after a write until :meth:`ProcessPool.resync` re-ships the
 full state.
 
 Every serial fallback is recorded through
-:func:`repro.planner.parallel.record_fallback` — same reason taxonomy
-as the thread backend — and every pool entry point degrades to the
-primary's ordinary execution paths rather than failing the query.
+:func:`repro.planner.parallel.record_fallback`, and every pool entry
+point degrades to the primary's ordinary execution paths rather than
+failing the query.
 """
 
 from __future__ import annotations
@@ -372,8 +372,8 @@ class ProcessPool:
                tracer=None, indent: bool = False):
         """Fan one partitionable XQuery across the replica processes.
 
-        Same soundness gate and order guarantees as the thread backend
-        (:mod:`repro.planner.parallel`); anything the gate refuses —
+        Partitioned only past the soundness gate of
+        :mod:`repro.planner.parallel`; anything the gate refuses —
         and any replica failure — runs serially on the primary instead,
         with the reason recorded.  Returns a
         :class:`ShippedQueryResult` on the parallel path, the primary's
@@ -460,17 +460,15 @@ class ProcessPool:
                                   partitions=len(partitions),
                                   worker_cache_hits=cache_hits)
 
-    def execute_many(self, statements, max_workers: int | None = None
-                     ) -> list:
+    def execute_many(self, statements) -> list:
         """Round-robin a batch of read statements across the replicas.
 
         Mirrors ``Database.execute_many`` but with process-level
         parallelism.  A batch containing any write statement runs
         entirely on the primary (``write-statements`` fallback — the
         primary is the only writer), as does a batch of fewer than two
-        statements.  ``max_workers`` caps how many replicas share the
-        batch.  Results are in input order: ``ShippedQueryResult`` for
-        XQuery texts, ``ShippedSQLResult`` for SQL reads.
+        statements.  Results are in input order: ``ShippedQueryResult``
+        for XQuery texts, ``ShippedSQLResult`` for SQL reads.
         """
         statements = list(statements)
         if self._closed:
@@ -481,8 +479,6 @@ class ProcessPool:
             record_fallback("write-statements")
             return self._database.execute_many(statements)
         alive = [worker for worker in self._workers if worker.alive]
-        if max_workers is not None:
-            alive = alive[:max(1, max_workers)]
         if len(alive) < 2 or len(statements) < 2:
             record_fallback("single-worker" if len(alive) < 2
                             else "too-few-docs")

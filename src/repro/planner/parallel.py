@@ -1,20 +1,19 @@
-"""Partition-parallel XQuery execution: fan one query across document
-partitions.
+"""The partition gate and fallback taxonomy of the process pool.
 
-The serving-layer counterpart of the paper's collection model: a
-``db2-fn:xmlcolumn`` query touches many independent documents, so a
-descendant-heavy or multi-document query can be split by document —
-each worker evaluates the *same* compiled query over a disjoint slice
-of the column and the orchestrator concatenates the slices in document
-order.  This mirrors the path/document partitioning surveyed for
-RadegastXDB and Sedna-style engines, scaled down to a thread pool.
+A ``db2-fn:xmlcolumn`` query touches many independent documents, so a
+descendant-heavy or multi-document query can be split by document:
+each replica process of :mod:`repro.parallel.pool` evaluates the
+*same* compiled query over a disjoint slice of the column, and the
+orchestrator concatenates the slices in document order.  This mirrors
+the path/document partitioning surveyed for RadegastXDB and
+Sedna-style engines.
 
 Soundness gate (:func:`partition_reference`) — a query is partitioned
 only when splitting provably cannot change its answer:
 
 * exactly one ``db2-fn:xmlcolumn`` call, with a literal reference, and
   no ``db2-fn:sqlquery`` anywhere (including prolog functions) — a
-  nested SQL call would need database re-entry from worker threads;
+  nested SQL call would need database re-entry from a worker;
 * the body is that call, a relative path rooted at it (no predicates
   on the call step itself — those would filter the *global* document
   sequence), or a FLWOR whose first clause is a plain ``for`` (no
@@ -24,47 +23,31 @@ only when splitting provably cannot change its answer:
 
 Everything per-binding (where clauses, nested FLWORs, constructors)
 distributes over concatenation; per-step predicates apply within one
-context node and never cross documents.  Anything else falls back to
-the serial path, counted in ``parallel.serial_fallbacks`` and broken
-down by cause in ``parallel.fallback_reason.<reason>`` (see
-:data:`FALLBACK_REASONS`); both the thread backend here and the
-process backend (:mod:`repro.parallel.pool`) record through the same
-:func:`record_fallback` helper so dashboards see one taxonomy.
+context node and never cross documents.  :func:`_partition` cuts the
+surviving documents into contiguous row-order chunks, so concatenation
+preserves order.
 
-Execution: the orchestrator takes the database read lock ONCE for the
-whole fan-out, captures a :class:`~repro.storage.snapshot.Snapshot`,
-plans index prefilters a single time, then hands each worker a
-:class:`~repro.planner.plan.PrefilteredDatabase` view of the snapshot
-restricted to its partition.  Workers run lock-free (the gate bans the
-only construct that would re-enter the lock), so a queued writer can
-never deadlock against the pool.
+Anything else falls back to the serial path, counted in
+``parallel.serial_fallbacks`` and broken down by cause in
+``parallel.fallback_reason.<reason>`` (see :data:`FALLBACK_REASONS`),
+all through :func:`record_fallback` so dashboards see one taxonomy.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 from ..obs.metrics import METRICS
 from ..xdm.qname import DB2FN_NS
-from ..xdm.sequence import Item, document_order
-from ..xdm.nodes import Node
 from ..xquery import ast
-from ..xquery.evaluator import evaluate_module
-from ..core.querycache import compile_query
-from .plan import PrefilteredDatabase, QueryResult, plan_prefilters
-from .stats import ExecutionStats
 
-__all__ = ["partition_reference", "execute_xquery_parallel",
-           "record_fallback", "FALLBACK_REASONS"]
+__all__ = ["partition_reference", "record_fallback", "FALLBACK_REASONS"]
 
 #: Every reason a parallel entry point may decline to fan out.  The
 #: reason becomes a metric suffix (``parallel.fallback_reason.<r>``)
 #: and a ``serial-fallback`` trace-span attribute, so the set is a
-#: stable contract shared by the thread and process backends.
+#: stable contract of the process pool's entry points.
 FALLBACK_REASONS = (
     "gate-rejected",     # partition_reference refused the query shape
-    "single-worker",     # max_workers/processes <= 1: nothing to fan to
+    "single-worker",     # fewer than two live replicas: nothing to fan to
     "too-few-docs",      # fewer documents than would pay for a fan-out
     "freshness",         # replicas behind the required LSN / version
     "write-statements",  # batch contains writes: primary-only
@@ -166,113 +149,3 @@ def _partition(doc_ids: list[int], workers: int) -> list[list[int]]:
         partitions.append(doc_ids[start:start + size])
         start += size
     return partitions
-
-
-def execute_xquery_parallel(database, query: str, max_workers: int = 4,
-                            use_indexes: bool = True,
-                            tracer=None) -> QueryResult:
-    """Fan ``query`` across document partitions of its xmlcolumn.
-
-    Byte-identical to the serial answer: the gate admits only queries
-    whose result distributes over document concatenation, partitions
-    are contiguous in row (= document) order, and pure path bodies get
-    a final document-order merge.  Non-partitionable queries (or
-    ``max_workers <= 1``) run serially through ``database.xquery``.
-    """
-    compiled = compile_query(query)
-    reference = partition_reference(compiled.module)
-    if reference is None or max_workers <= 1:
-        record_fallback("gate-rejected" if reference is None
-                        else "single-worker", tracer)
-        return database.xquery(query, use_indexes=use_indexes,
-                               tracer=tracer)
-
-    started = time.perf_counter() if METRICS.enabled else 0.0
-    stats = ExecutionStats()
-    with database._rwlock.read():
-        snapshot = database.snapshot()
-        doc_ids = [stored.doc_id for stored in snapshot.documents(
-            *snapshot._split_reference(reference))]
-        allowed: set[int] | None = None
-        if use_indexes:
-            candidates = list(compiled.candidates)
-            prefilters = plan_prefilters(snapshot, candidates, stats)
-            for column, prefilter in prefilters.items():
-                if column.lower() != reference.lower():
-                    continue  # single-column query: nothing else applies
-                docs = prefilter.run(stats)
-                allowed = docs if allowed is None else (allowed & docs)
-                for note in prefilter.notes:
-                    stats.note(note)
-                stats.note(f"prefilter {column}: {len(docs)} documents "
-                           f"survive")
-        if allowed is not None:
-            doc_ids = [doc_id for doc_id in doc_ids if doc_id in allowed]
-        partitions = _partition(doc_ids, max_workers)
-        stats.note(f"partition-parallel: {len(doc_ids)} documents of "
-                   f"{reference} across {len(partitions)} workers")
-
-        def run_partition(partition: list[int]
-                          ) -> tuple[list[Item], ExecutionStats, object]:
-            worker_stats = ExecutionStats()
-            worker_tracer = None
-            if tracer is not None:
-                from ..obs.trace import Tracer
-                worker_tracer = Tracer(statement=query, language="xquery")
-            view = PrefilteredDatabase(snapshot,
-                                       {reference: set(partition)})
-            if worker_tracer is not None:
-                with worker_tracer.span("partition-eval",
-                                        documents=len(partition)) as span:
-                    items = evaluate_module(compiled.module, database=view,
-                                            stats=worker_stats)
-                    span.set(actual_rows=len(items), unit="items")
-            else:
-                items = evaluate_module(compiled.module, database=view,
-                                        stats=worker_stats)
-            return items, worker_stats, worker_tracer
-
-        if tracer is not None:
-            context = tracer.span("parallel-exec",
-                                  partitions=len(partitions),
-                                  max_workers=max_workers,
-                                  reference=reference)
-        else:
-            context = _null_context()
-        with context:
-            if len(partitions) <= 1:
-                outcomes = [run_partition(partition)
-                            for partition in partitions]
-            else:
-                with ThreadPoolExecutor(
-                        max_workers=len(partitions)) as pool:
-                    outcomes = list(pool.map(run_partition, partitions))
-
-        items: list[Item] = []
-        for worker, (worker_items, worker_stats,
-                     worker_tracer) in enumerate(outcomes):
-            items.extend(worker_items)
-            stats.merge(worker_stats)
-            if tracer is not None and worker_tracer is not None:
-                tracer.attach(worker_tracer, worker=worker)
-
-    if isinstance(compiled.module.body, (ast.PathExpr, ast.FunctionCall)) \
-            and all(isinstance(item, Node) for item in items):
-        # A pure path body is globally document-order sorted in serial
-        # execution; re-merge so out-of-creation-order ingests still
-        # serialize identically.
-        items = document_order(items)
-    if METRICS.enabled:
-        METRICS.inc("parallel.fanouts")
-        METRICS.inc("parallel.partitions", len(partitions))
-        METRICS.observe("parallel.seconds",
-                        time.perf_counter() - started)
-    return QueryResult(items, stats)
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return None

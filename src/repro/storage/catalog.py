@@ -500,20 +500,6 @@ class Database(ReadView):
                 rewrite_views=rewrite_views, tracer=tracer,
                 variables=variables)
 
-    def xquery_parallel(self, query: str, max_workers: int = 4,
-                        use_indexes: bool = True, tracer=None):
-        """Run one XQuery fanned across document partitions.
-
-        Falls back to serial :meth:`xquery` when the query is not
-        provably partitionable (see :mod:`repro.planner.parallel`).
-        Results are merged in document order and are identical to the
-        serial answer."""
-        from ..planner.parallel import execute_xquery_parallel
-        return execute_xquery_parallel(self, query,
-                                       max_workers=max_workers,
-                                       use_indexes=use_indexes,
-                                       tracer=tracer)
-
     def process_pool(self, processes: int = 2, **options):
         """A :class:`repro.parallel.pool.ProcessPool` of read replicas.
 
@@ -544,29 +530,16 @@ class Database(ReadView):
             return super().sql(statement, use_indexes=use_indexes,
                                tracer=tracer)
 
-    def execute_many(self, statements, max_workers: int | None = None
-                     ) -> list:
-        """Execute a batch of statements, fanning across a thread pool.
+    def execute_many(self, statements) -> list:
+        """Execute a batch of statements one after another.
 
         ``statements`` is an iterable of XQuery or SQL/DDL texts; the
         result list is in input order, each entry whatever the matching
-        single-statement entry point returns.  Read statements share
-        the lock and run concurrently; write statements serialize
-        through the exclusive side whenever the pool schedules them —
-        each statement is one atomic critical section, so a batch mixed
-        with writes is linearizable but its internal order is whatever
-        the pool produces.  ``max_workers=None`` picks
-        ``min(8, len(statements))``; ``1`` degrades to a serial loop.
+        single-statement entry point (:meth:`execute_any`) returns.
+        Each statement is its own atomic critical section, so a batch
+        mixed with writes sees every earlier write of the batch.
         """
-        statements = list(statements)
-        if max_workers is None:
-            max_workers = min(8, len(statements)) or 1
-        if max_workers <= 1 or len(statements) <= 1:
-            return [self.execute_any(statement)
-                    for statement in statements]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(self.execute_any, statements))
+        return [self.execute_any(statement) for statement in statements]
 
     def execute_any(self, statement: str):
         """Dispatch one statement text: SQL/DDL heads go through

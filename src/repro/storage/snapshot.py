@@ -22,8 +22,8 @@ structures (B+Trees are mutated in place by writers).  Queries issued
 through ``Database.xquery`` / ``Database.sql`` hold the read lock for
 their whole execution, so they never observe a half-updated index;
 queries issued through ``Snapshot.xquery`` / ``Snapshot.sql`` are
-lock-free and intended for use while the caller (for example the
-partition-parallel executor) holds the read side itself.
+lock-free and intended for use while the caller (for example a
+server session) holds the read side itself.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ database's reader-writer lock, and scans are safe exactly because every
 query entry point holds the read side for its full duration — a
 :class:`~repro.storage.snapshot.Snapshot` pins rows and catalog but
 *not* index interiors, and must only be queried while its creator keeps
-writers excluded (see the partition-parallel executor).
+writers excluded (see the server's session reads).
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
 """Concurrent serving layer: GIL-stress correctness tests.
 
-Three independent guarantees are pinned here, all under
+Three independent guarantees are pinned here, the first two under
 ``sys.setswitchinterval(1e-6)`` so CPython preempts threads roughly
 every bytecode:
 
-1. ``execute_many`` with 8 workers returns results byte-identical to a
-   serial loop over the paper's 30 numbered queries;
+1. 8 reader threads sharing the read lock (as the server's engine
+   threads do) return results byte-identical to the serial
+   ``execute_many`` loop over the paper's 30 numbered queries;
 2. readers racing a DDL/ingest writer never observe a torn snapshot —
    every query sees a document set that was the committed state at
    *some* instant, never a mix;
-3. the partition-parallel executor's answers equal serial answers, and
-   its soundness gate refuses non-distributive queries.
+3. the partition gate admits the shapes the process pool fans out and
+   refuses non-distributive queries.
 """
 
 import sys
@@ -143,6 +144,33 @@ def rendered(result) -> tuple:
             tuple(tuple(row) for row in result.serialize_rows()))
 
 
+def run_concurrently(function, statements, threads: int = 8) -> list:
+    """Call ``function`` on every statement from ``threads`` reader
+    threads at once (statement ``i`` on thread ``i % threads``).
+
+    Returns the results in input order; re-raises the first error a
+    reader hit."""
+    results: list = [None] * len(statements)
+    errors: list[BaseException] = []
+
+    def reader(offset: int) -> None:
+        try:
+            for position in range(offset, len(statements), threads):
+                results[position] = function(statements[position])
+        except Exception as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader, args=(offset,))
+               for offset in range(threads)]
+    for thread in readers:
+        thread.start()
+    for thread in readers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 @pytest.fixture()
 def fast_switching():
     previous = sys.getswitchinterval()
@@ -155,27 +183,21 @@ class TestExecuteManyMatchesSerial:
     def test_thirty_paper_queries_byte_identical(self, indexed_db,
                                                  fast_switching):
         assert len(PAPER_QUERIES) == 30
-        serial = [rendered(indexed_db.execute_any(query))
-                  for query in PAPER_QUERIES]
-        batched = indexed_db.execute_many(PAPER_QUERIES, max_workers=8)
-        assert [rendered(result) for result in batched] == serial
+        serial = [rendered(result)
+                  for result in indexed_db.execute_many(PAPER_QUERIES)]
+        concurrent = run_concurrently(indexed_db.execute_any,
+                                      PAPER_QUERIES)
+        assert [rendered(result) for result in concurrent] == serial
 
     def test_repeated_interleavings(self, indexed_db, fast_switching):
         # Shuffle-free repetition: thread scheduling differs run to
         # run; results must not.
         subset = PAPER_QUERIES[:8] * 3
-        serial = [rendered(indexed_db.execute_any(query))
-                  for query in subset]
+        serial = [rendered(result)
+                  for result in indexed_db.execute_many(subset)]
         for _ in range(3):
-            batched = indexed_db.execute_many(subset, max_workers=8)
-            assert [rendered(result) for result in batched] == serial
-
-    def test_single_worker_degrades_to_serial_loop(self, indexed_db):
-        queries = PAPER_QUERIES[:3]
-        serial = [rendered(indexed_db.execute_any(query))
-                  for query in queries]
-        batched = indexed_db.execute_many(queries, max_workers=1)
-        assert [rendered(result) for result in batched] == serial
+            concurrent = run_concurrently(indexed_db.execute_any, subset)
+            assert [rendered(result) for result in concurrent] == serial
 
 
 class TestNoTornSnapshots:
@@ -214,8 +236,8 @@ class TestNoTornSnapshots:
         thread.start()
         try:
             for _ in range(15):
-                for result in db.execute_many([self.PAIRED] * 8,
-                                              max_workers=8):
+                for result in run_concurrently(db.xquery,
+                                               [self.PAIRED] * 8):
                     custids, lineitems = [
                         int(item.value) for item in result.items]
                     # Every committed state has custids == lineitems;
@@ -266,32 +288,14 @@ class TestPartitionParallel:
         f"{XMLCOL}/order/custid",
     ]
 
-    def test_parallel_matches_serial(self, indexed_db, fast_switching):
-        for query in self.PARTITIONABLE:
-            serial = indexed_db.xquery(query).serialized()
-            for workers in (2, 4, 8):
-                parallel = indexed_db.xquery_parallel(
-                    query, max_workers=workers)
-                assert parallel.serialized() == serial, query
-
-    def test_parallel_preserves_prefilter_stats(self, indexed_db):
-        query = f"for $i in {XMLCOL}//order[lineitem/@price>100] return $i"
-        result = indexed_db.xquery_parallel(query, max_workers=4)
-        assert result.stats.indexes_used == ["li_price"]
-        assert result.stats.docs_scanned == 1  # prefiltered before fanout
-
-    def test_gate_refuses_order_by(self, indexed_db):
+    def test_gate_refuses_order_by(self):
         from repro.core.querycache import compile_query
         from repro.planner.parallel import partition_reference
         query = (f"for $o in {XMLCOL}/order "
                  "order by string($o/custid[1]) return $o")
         assert partition_reference(compile_query(query).module) is None
-        # ... and the entry point still answers correctly via serial.
-        assert (indexed_db.xquery_parallel(query, max_workers=4)
-                .serialized() ==
-                indexed_db.xquery(query).serialized())
 
-    def test_gate_refuses_sqlquery_and_multi_column(self, indexed_db):
+    def test_gate_refuses_sqlquery_and_multi_column(self):
         from repro.core.querycache import compile_query
         from repro.planner.parallel import partition_reference
         nested_sql = ("for $c in db2-fn:sqlquery("
@@ -314,38 +318,3 @@ class TestPartitionParallel:
         for query in self.PARTITIONABLE:
             assert partition_reference(
                 compile_query(query).module) == "ORDERS.ORDDOC", query
-
-    def test_parallel_while_writer_ingests(self, fast_switching):
-        db = Database()
-        db.create_table("orders", [("ordid", "INTEGER"),
-                                   ("orddoc", "XML")])
-        for i in range(12):
-            db.insert("orders", {
-                "ordid": i,
-                "orddoc": TestNoTornSnapshots.ORDER.format(cid=i)})
-        query = ("for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order "
-                 "where $o/lineitem/@price > 100 return $o/custid")
-        stop = threading.Event()
-
-        def writer():
-            cid = 5000
-            while not stop.is_set():
-                db.insert("orders", {
-                    "ordid": cid,
-                    "orddoc": TestNoTornSnapshots.ORDER.format(cid=cid)})
-                cid += 1
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            for _ in range(10):
-                result = db.xquery_parallel(query, max_workers=4)
-                # Result counts grow monotonically with ingest but each
-                # answer must be internally consistent: every custid
-                # unique, sequence strictly ordered by insertion.
-                values = [item.string_value() for item in result.items]
-                assert values == sorted(set(values), key=values.index)
-                assert len(values) == len(set(values))
-        finally:
-            stop.set()
-            thread.join()

@@ -25,6 +25,14 @@ FLWOR_QUERY = ("for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order "
                "return <hit>{$o/custid/text()}</hit>")
 PRICE_QUERY = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
                "//order[lineitem/@price > 100]")
+#: The paper's Query 1, a row-per-lineitem path and a per-document
+#: constructor: the rest of the partitionable shapes.
+Q1_QUERY = ("for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')"
+            "//order[lineitem/@price>100] return $i")
+LINEITEM_QUERY = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
+                  "//lineitem[@price > 100]")
+CONSTRUCTOR_QUERY = ("for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') "
+                     "return <r>{$d//product/id}</r>")
 NEW_ORDER = ("<order><custid>1001</custid>"
              "<lineitem price=\"175\"><product><id>77</id></product>"
              "</lineitem></order>")
@@ -47,7 +55,8 @@ def durable_pool_db(tmp_path):
 class TestPartitionedReads:
     def test_byte_identical_across_query_shapes(self, pool_db):
         with pool_db.process_pool(processes=2) as pool:
-            for query in (PATH_QUERY, FLWOR_QUERY, PRICE_QUERY):
+            for query in (PATH_QUERY, FLWOR_QUERY, PRICE_QUERY, Q1_QUERY,
+                          LINEITEM_QUERY, CONSTRUCTOR_QUERY):
                 shipped = pool.xquery(query)
                 serial = pool_db.xquery(query)
                 assert isinstance(shipped, ShippedQueryResult)
@@ -103,6 +112,8 @@ class TestPartitionedReads:
                 pool.xquery(PATH_QUERY)
                 snapshot = METRICS.snapshot()
         assert snapshot["counters"]["process.fanouts"] == 1
+        assert snapshot["counters"].get("parallel.serial_fallbacks",
+                                        0) == 0
         assert snapshot["counters"]["process.partitions"] == 2
         assert snapshot["histograms"]["process.seconds"]["count"] == 1
         assert snapshot["gauges"][
@@ -190,7 +201,7 @@ class TestExecuteMany:
 
     def test_round_robin_matches_serial(self, durable_pool_db):
         database = durable_pool_db
-        serial = database.execute_many(self.STATEMENTS, max_workers=1)
+        serial = database.execute_many(self.STATEMENTS)
         with database.process_pool(processes=2) as pool:
             shipped = pool.execute_many(self.STATEMENTS)
         assert [type(result).__name__ for result in shipped] == [

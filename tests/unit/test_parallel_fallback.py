@@ -1,5 +1,5 @@
-"""The serial-fallback taxonomy shared by the thread and process
-parallel backends: one reason set, one metric family, one trace span.
+"""The process pool's serial-fallback taxonomy: one reason set, one
+metric family, one trace span.
 """
 
 from __future__ import annotations
@@ -54,32 +54,6 @@ class TestRecordFallback:
             counts = _fallback_counts()
         assert len(counts) == len(FALLBACK_REASONS)
         assert all(value == 1 for value in counts.values())
-
-
-class TestThreadBackendReasons:
-    def test_gate_rejected_query_is_classified(self, paper_db):
-        query = ("for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order "
-                 "order by $o/custid return $o/custid")
-        with enabled_metrics():
-            paper_db.xquery_parallel(query, max_workers=4)
-            counts = _fallback_counts()
-        assert counts == {"parallel.fallback_reason.gate-rejected": 1}
-
-    def test_single_worker_is_classified(self, paper_db):
-        query = "db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/custid"
-        with enabled_metrics():
-            paper_db.xquery_parallel(query, max_workers=1)
-            counts = _fallback_counts()
-        assert counts == {"parallel.fallback_reason.single-worker": 1}
-
-    def test_partitionable_query_records_no_fallback(self, paper_db):
-        query = "db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/custid"
-        with enabled_metrics():
-            result = paper_db.xquery_parallel(query, max_workers=4)
-            counters = METRICS.snapshot()["counters"]
-        assert counters.get("parallel.serial_fallbacks", 0) == 0
-        assert counters["parallel.fanouts"] == 1
-        assert result.serialize() == paper_db.xquery(query).serialize()
 
 
 class TestAttachRemote:
